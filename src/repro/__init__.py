@@ -61,7 +61,7 @@ from repro.core.strategies import (
     RectilinearStrategy,
 )
 from repro.gaussian import Gaussian, GaussianMixture
-from repro.index import GridIndex, LinearScanIndex, RStarTree
+from repro.index import GridIndex, LinearScanIndex, PackedIndex, RStarTree
 from repro.integrate import (
     AntitheticImportanceSampler,
     CascadeIntegrator,
@@ -119,6 +119,7 @@ __all__ = [
     "QueryPlan",
     "QueryPlanner",
     "PlannerCostModel",
+    "PackedIndex",
     "RStarTree",
     "GridIndex",
     "LinearScanIndex",

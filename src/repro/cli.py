@@ -21,8 +21,8 @@ Commands
 ``catalog``
     Build an r_θ or BF U-catalog and write it to JSON.
 ``dataset``
-    Generate one of the synthetic datasets and save it (``--format npz``
-    portable archive, or ``soa`` memory-mapped store).
+    Generate one of the synthetic datasets and save it (``--format soa``
+    memory-mapped store, the default, or ``npz`` legacy archive).
 ``kernels``
     Show which kernel backend (compiled C or NumPy fallback) this
     process selected, per kernel, and the compile cache location.
@@ -188,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--dim", type=int, default=2)
     dataset.add_argument("--seed", type=int, default=0)
     dataset.add_argument(
-        "--format", choices=["npz", "soa"], default="npz",
-        help="npz (default, portable archive) or soa (memory-mapped "
-        "store with O(1) load)",
+        "--format", choices=["npz", "soa"], default="soa",
+        help="soa (default, memory-mapped store with O(1) load, as "
+        "SpatialDatabase.save writes) or npz (legacy compressed archive)",
     )
 
     commands.add_parser(

@@ -8,9 +8,11 @@ paper's query types with one call each:
 - :meth:`probabilistic_range_query` — PRQ(q, δ, θ) with any strategy
   combination and integrator.
 
-The default configuration matches the paper's experimental setup: an
-R*-tree index, all three strategies combined, and importance sampling with
-100,000 samples per candidate.
+The default configuration matches the paper's experimental setup (all
+three strategies combined, importance sampling with 100,000 samples per
+candidate), except that Phase 1 runs on the static
+:class:`~repro.index.packed.PackedIndex`; pass ``index=RStarTree(d)`` for
+the paper's R*-tree or for a database that is mutated.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.geometry.mbr import Rect
 from repro.errors import DatabaseLoadError, QueryError
 from repro.gaussian.distribution import Gaussian
 from repro.index.base import SpatialIndex
-from repro.index.rtree import RStarTree
+from repro.index.packed import PackedIndex
 from repro.integrate.base import ProbabilityIntegrator
 
 __all__ = ["SpatialDatabase"]
@@ -47,7 +49,9 @@ class SpatialDatabase:
     ids:
         Optional object ids (default 0..n−1); must be unique.
     index:
-        A pre-built empty index to load into; defaults to an R*-tree.
+        A pre-built empty index to load into; defaults to the static
+        :class:`~repro.index.packed.PackedIndex`.  Pass
+        ``RStarTree(d)`` to insert or delete through ``db.index``.
     target_table:
         Optional :class:`repro.core.kinds.TargetCovarianceTable` mapping
         object ids to target covariances.  Required for executing
@@ -110,8 +114,10 @@ class SpatialDatabase:
         if self._built_index is None:
             index = self._pending_index
             if index is None:
-                index = RStarTree(self._points.shape[1])
-            index.bulk_load([int(i) for i in self._ids], self._points)
+                index = PackedIndex(self._points.shape[1])
+                index.bulk_load(self._ids, self._points)
+            else:  # caller-supplied indexes get plain int ids
+                index.bulk_load([int(i) for i in self._ids], self._points)
             self._built_index = index
             self._pending_index = None
         return self._built_index
@@ -304,13 +310,12 @@ class SpatialDatabase:
 
             stats = QueryStats()
             rect = engine.prepare_search(query, stats)
-            candidate_ids = (
-                self.index.range_search_rect(rect) if rect is not None else []
-            )
+            candidate_ids = np.empty(0, dtype=np.int64)
+            if rect is not None:
+                candidate_ids, points = self.index.range_search_points(rect)
             scored: list[tuple[int, float]] = []
-            if candidate_ids:
-                points = np.vstack([self.index.get(i) for i in candidate_ids])
-                undecided = np.ones(len(candidate_ids), dtype=bool)
+            if candidate_ids.size:
+                undecided = np.ones(candidate_ids.size, dtype=bool)
                 for strategy in strategies:
                     codes = strategy.classify(points[undecided])
                     idx = np.nonzero(undecided)[0]
@@ -320,7 +325,7 @@ class SpatialDatabase:
                     gaussian, points[keep], delta
                 )
                 scored = [
-                    (candidate_ids[slot], result.estimate)
+                    (int(candidate_ids[slot]), result.estimate)
                     for slot, result in zip(keep, estimates)
                 ]
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -348,7 +353,7 @@ class SpatialDatabase:
         """Partition this database across ``n_shards`` worker processes.
 
         Returns a :class:`repro.shard.ShardedDatabase`: the points move
-        into shared memory, each shard gets its own R*-tree inside a
+        into shared memory, each shard gets its own packed index inside a
         long-lived worker process, and every engine built from it
         scatter-gathers queries across the shards whose MBR intersects
         the query's Phase-1 rectangle (``docs/sharding.md``).  ``method``

@@ -430,7 +430,7 @@ class QueryEngine:
     def filter_and_integrate(
         self,
         query: ProbabilisticRangeQuery,
-        candidate_ids: list[int],
+        candidate_ids: np.ndarray,
         points: np.ndarray,
         stats: QueryStats,
     ) -> QueryResult:
@@ -445,7 +445,7 @@ class QueryEngine:
             self.strategies,
             self.integrator,
             stats,
-            candidate_ids=np.asarray(candidate_ids),
+            candidate_ids=candidate_ids,
             points=points,
             obs=self.obs,
         )

@@ -36,7 +36,7 @@ __all__ = ["MonitoringSession"]
 class _Cache:
     __slots__ = ("rect", "ids", "points")
 
-    def __init__(self, rect: Rect, ids: list[int], points: np.ndarray):
+    def __init__(self, rect: Rect, ids: np.ndarray, points: np.ndarray):
         self.rect = rect
         self.ids = ids
         self.points = points
@@ -99,33 +99,17 @@ class MonitoringSession:
             if cache is not None and cache.rect.contains_rect(rect):
                 stats.cache_hit = True
                 self.cache_hits += 1
-                if cache.ids:
-                    mask = rect.contains_points(cache.points)
-                    slots = np.nonzero(mask)[0]
-                    candidate_ids = [cache.ids[i] for i in slots]
-                    points = cache.points[slots]
-                else:
-                    candidate_ids, points = [], np.empty((0, query.dim))
             else:
                 self.cache_misses += 1
                 expanded = Rect.from_center(
                     rect.center, (rect.extents / 2.0) * (1.0 + self.margin)
                 )
-                cached_ids = self._database.index.range_search_rect(expanded)
-                cached_points = (
-                    np.vstack([self._database.point(i) for i in cached_ids])
-                    if cached_ids
-                    else np.empty((0, query.dim))
+                cache = self._cache = _Cache(
+                    expanded, *self._database.index.range_search_points(expanded)
                 )
-                self._cache = _Cache(expanded, cached_ids, cached_points)
-                if cached_ids:
-                    mask = rect.contains_points(cached_points)
-                    slots = np.nonzero(mask)[0]
-                    candidate_ids = [cached_ids[i] for i in slots]
-                    points = cached_points[slots]
-                else:
-                    candidate_ids, points = [], np.empty((0, query.dim))
-            stats.retrieved = len(candidate_ids)
-        if not candidate_ids:
+            inside = rect.contains_points(cache.points)
+            candidate_ids, points = cache.ids[inside], cache.points[inside]
+            stats.retrieved = int(candidate_ids.size)
+        if not candidate_ids.size:
             return QueryResult((), stats)
         return self._engine.filter_and_integrate(query, candidate_ids, points, stats)

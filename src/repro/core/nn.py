@@ -44,6 +44,7 @@ from scipy import special
 from repro.core.database import SpatialDatabase
 from repro.errors import QueryError
 from repro.gaussian.distribution import Gaussian
+from repro.geometry.mbr import Rect
 
 __all__ = [
     "NearestNeighborCandidate",
@@ -169,10 +170,14 @@ def probabilistic_nearest_neighbors(
     farthest = samples[int(np.argmax(sample_radii))]
     kth_distance = database.knn(farthest, k)[-1][1]
     cut_radius = float(sample_radii.max() + kth_distance + sample_radii.max())
-    candidate_ids = database.range_query(center, cut_radius)
+    ids, points = database.index.range_search_points(
+        Rect.from_center(center, np.full(database.dim, cut_radius))
+    )
+    gaps = points - center
+    inside = np.einsum("ij,ij->i", gaps, gaps) <= cut_radius * cut_radius
+    candidate_ids, candidate_points = ids[inside].tolist(), points[inside]
     if not candidate_ids:  # pragma: no cover - cut radius always reaches k-NNs
         raise QueryError("candidate cut returned no objects; database empty?")
-    candidate_points = np.vstack([database.point(i) for i in candidate_ids])
 
     if k == 1 and len(candidate_ids) > 2:
         # Exact bisector pre-filter: candidates whose half-space upper

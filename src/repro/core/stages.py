@@ -131,13 +131,13 @@ class SearchStage(Stage):
         if rect is None:
             ctx.finished = True
             return
-        candidate_ids = self.index.range_search_rect(rect)
-        ctx.stats.retrieved = len(candidate_ids)
-        if not candidate_ids:
+        ids, points = self.index.range_search_points(rect)
+        ctx.stats.retrieved = int(ids.size)
+        if not ids.size:
             ctx.finished = True
             return
-        ctx.candidate_ids = np.asarray(candidate_ids)
-        ctx.points = np.vstack([self.index.get(i) for i in candidate_ids])
+        ctx.candidate_ids = ids
+        ctx.points = points
 
 
 class FilterStage(Stage):

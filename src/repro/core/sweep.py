@@ -85,18 +85,17 @@ def threshold_sweep(
         if rect is None:
             empty = {theta: () for theta in theta_list}
             return ThresholdSweepResult((), (), empty)
-    candidate_ids = database.index.range_search_rect(rect)
-    if not candidate_ids:
+    candidate_ids, points = database.index.range_search_points(rect)
+    if not candidate_ids.size:
         empty = {theta: () for theta in theta_list}
         return ThresholdSweepResult((), (), empty)
-    points = np.vstack([database.point(i) for i in candidate_ids])
-    undecided = np.ones(len(candidate_ids), dtype=bool)
+    undecided = np.ones(candidate_ids.size, dtype=bool)
     for strategy in strategy_list:
         codes = strategy.classify(points[undecided])
         idx = np.nonzero(undecided)[0]
         undecided[idx[codes == REJECT]] = False
     keep = np.nonzero(undecided)[0]
-    kept_ids = tuple(candidate_ids[i] for i in keep)
+    kept_ids = tuple(candidate_ids[keep].tolist())
     estimates = evaluator.qualification_probabilities(
         gaussian, points[keep], delta
     )

@@ -44,7 +44,12 @@ class IndexStats:
 
 
 class SpatialIndex(abc.ABC):
-    """A dynamic index over d-dimensional points with integer-like ids."""
+    """An index over d-dimensional points with integer-like ids.
+
+    Static indexes (:class:`repro.index.packed.PackedIndex`) are built by
+    :meth:`bulk_load` and raise :class:`IndexError_` on :meth:`insert` and
+    :meth:`delete`.
+    """
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -94,22 +99,31 @@ class SpatialIndex(abc.ABC):
     def range_search_rect(self, rect: Rect) -> list[int]:
         """Ids of points inside the (closed) rectangle."""
 
+    def range_search_points(self, rect: Rect) -> tuple[np.ndarray, np.ndarray]:
+        """Points inside the (closed) rectangle, as arrays.
+
+        Returns the ``int64`` ids and their ``(k, d)`` points, row for
+        row.  This is the query path's one candidate representation.
+        Default: :meth:`range_search_rect` plus one :meth:`get` per id;
+        array-native indexes override it to skip the per-id gather.
+        """
+        ids = self.range_search_rect(rect)
+        if not ids:
+            return np.empty(0, dtype=np.int64), np.empty((0, self._dim))
+        return np.asarray(ids, dtype=np.int64), np.vstack([self.get(i) for i in ids])
+
     def range_search_sphere(self, center: _ArrayLike, radius: float) -> list[int]:
         """Ids of points within ``radius`` of ``center``.
 
-        Default: rectangle search on the bounding box, refined by exact
-        distance.  Tree indexes override with sphere-aware pruning.
+        Default: :meth:`range_search_points` on the bounding box, refined
+        by exact distance.  Tree indexes override with sphere-aware
+        pruning.
         """
         c = np.asarray(center, dtype=float)
         box = Rect.from_center(c, np.full(self._dim, radius))
-        candidate_ids = self.range_search_rect(box)
-        r2 = radius * radius
-        hits = []
-        for obj_id in candidate_ids:
-            gap = self.get(obj_id) - c
-            if float(gap @ gap) <= r2:
-                hits.append(obj_id)
-        return hits
+        ids, points = self.range_search_points(box)
+        gaps = points - c
+        return ids[np.einsum("ij,ij->i", gaps, gaps) <= radius * radius].tolist()
 
     @abc.abstractmethod
     def knn(self, point: _ArrayLike, k: int) -> list[tuple[int, float]]:

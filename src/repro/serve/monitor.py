@@ -919,7 +919,6 @@ class SubscriptionManager:
             query,
             answer,
             index=self.database.index,
-            point_of=self.database.point,
             anchor_rect=rect,
             margin=self.margin,
             reuse=reuse,
@@ -973,7 +972,6 @@ class SubscriptionManager:
             shifted,
             answer,
             index=self.database.index,
-            point_of=self.database.point,
             anchor_rect=rect,
             margin=self.margin,
             reuse=region,

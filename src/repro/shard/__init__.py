@@ -2,7 +2,7 @@
 
 ``db.shard(n)`` partitions a :class:`repro.SpatialDatabase` into ``n``
 spatial shards (STR or Hilbert order), places the points in shared
-memory, builds one R*-tree per shard inside long-lived worker
+memory, builds one packed index per shard inside long-lived worker
 *processes*, and returns a :class:`ShardedDatabase` whose engines route
 each query only to the shards whose MBR intersects its Phase-1 search
 rectangle.  See ``docs/sharding.md`` for the partitioning scheme, the

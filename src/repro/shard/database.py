@@ -40,7 +40,6 @@ class ShardedDatabase:
         *,
         method: str = "str",
         workers: int | None = None,
-        max_entries: int = 50,
         start_method: str | None = None,
     ):
         if n_shards < 1:
@@ -66,8 +65,6 @@ class ShardedDatabase:
             self._store,
             self.shards,
             workers,
-            max_entries=max_entries,
-            method=method,
             start_method=start_method,
         )
         self._closed = False

@@ -3,7 +3,7 @@
 The coordinator (this module) does everything that must be globally
 consistent — planning, per-query integrator forking, Phase-0 routing —
 and ships self-contained :class:`~repro.shard.worker.ShardTask` messages
-to a pool of long-lived worker processes, one R*-tree per shard, all
+to a pool of long-lived worker processes, one packed index per shard, all
 reading the same shared-memory point array.  Results are merged
 deterministically in shard order.
 
@@ -97,8 +97,8 @@ class ShardPool:
     """Long-lived worker processes executing :class:`ShardTask` messages.
 
     Shard ``s`` is owned by worker ``s % n_workers``; each worker builds
-    the R*-trees for its shards once, at startup, over views into the
-    shared point store.  ``run`` is thread-safe (serialized), so several
+    the packed indexes for its shards once, at startup, from the shared
+    point store.  ``run`` is thread-safe (serialized), so several
     engines — e.g. a user thread and the ``repro.serve`` scheduler — can
     share one pool.
 
@@ -114,8 +114,6 @@ class ShardPool:
         shards: list[ShardSpec],
         n_workers: int | None = None,
         *,
-        max_entries: int = 50,
-        method: str = "str",
         start_method: str | None = None,
     ):
         if not shards:
@@ -123,8 +121,6 @@ class ShardPool:
         self._store = store
         self._shards = shards
         self._ctx = mp.get_context(start_method or _start_method())
-        self._max_entries = max_entries
-        self._method = method
         self.n_workers = min(n_workers or len(shards), len(shards))
         if self.n_workers < 1:
             raise QueryError(f"n_workers must be >= 1, got {self.n_workers}")
@@ -143,7 +139,7 @@ class ShardPool:
                 if spec.shard_id % self.n_workers == widx
             ]
             self._workers.append(self._spawn(widx, owned))
-        # Block until every worker has built its trees: keeps startup
+        # Block until every worker has built its indexes: keeps startup
         # cost out of the first batch and surfaces build errors early.
         ready = 0
         while ready < self.n_workers:
@@ -156,11 +152,7 @@ class ShardPool:
         process = self._ctx.Process(
             target=worker_main,
             args=(self._store.descriptor, owned, task_queue, self._result_queue),
-            kwargs={
-                "max_entries": self._max_entries,
-                "method": self._method,
-                "untrack_shm": self._ctx.get_start_method() != "fork",
-            },
+            kwargs={"untrack_shm": self._ctx.get_start_method() != "fork"},
             daemon=True,
         )
         process.start()

@@ -1,13 +1,14 @@
-"""Shard worker process: attach, build local trees, execute tasks.
+"""Shard worker process: attach, build local indexes, execute tasks.
 
 Each worker process owns one or more shards.  At startup it attaches the
-shared-memory point store, bulk-loads one R*-tree per owned shard (views
-into shared pages — the only per-worker memory is the tree itself), then
-loops on its task queue running the standard three-phase pipeline
-(:func:`repro.core.stages.execute_pipeline`) against the shard-local
-tree.  Strategies arrive *unprepared* and the integrator arrives already
-forked/seeded by the coordinator, so a task's outcome is a pure function
-of the task message — independent of which worker runs it or when.
+shared-memory point store, builds one :class:`PackedIndex` per owned
+shard (the only per-worker memory is the index and its STR-ordered copy
+of the shard's rows), then loops on its task queue running the standard
+three-phase pipeline (:func:`repro.core.stages.execute_pipeline`)
+against the shard-local index.  Strategies arrive *unprepared* and the
+integrator arrives already forked/seeded by the coordinator, so a task's
+outcome is a pure function of the task message — independent of which
+worker runs it or when.
 
 Failure semantics: any exception inside a task becomes an error payload
 on the result queue (the worker survives); a crashed/killed worker is
@@ -31,7 +32,7 @@ from repro.core.stages import (
 )
 from repro.core.stats import QueryStats
 from repro.core.strategies import Strategy
-from repro.index.rtree import RStarTree
+from repro.index.packed import PackedIndex
 from repro.integrate.base import ProbabilityIntegrator
 from repro.shard.shm import ShmDescriptor, SharedPointStore
 
@@ -67,8 +68,8 @@ class ShardTaskResult:
     error: str | None = None
 
 
-def execute_task(tree: RStarTree, task: ShardTask) -> ShardTaskResult:
-    """Run the three-phase pipeline for one task against a shard tree."""
+def execute_task(tree: PackedIndex, task: ShardTask) -> ShardTaskResult:
+    """Run the three-phase pipeline for one task against a shard index."""
     stats = QueryStats()
     ctx = StageContext(task.query, task.strategies, task.integrator, stats)
     ids = execute_pipeline(
@@ -84,17 +85,10 @@ def execute_task(tree: RStarTree, task: ShardTask) -> ShardTaskResult:
     )
 
 
-def build_shard_tree(
-    store: SharedPointStore,
-    positions: np.ndarray,
-    *,
-    max_entries: int = 50,
-    method: str = "str",
-) -> RStarTree:
-    """Bulk-load one shard's R*-tree over shared-memory views."""
-    tree = RStarTree(store.dim, max_entries=max_entries)
-    ids = store.ids[positions]
-    tree.bulk_load([int(i) for i in ids], store.points[positions], method=method)
+def build_shard_tree(store: SharedPointStore, positions: np.ndarray) -> PackedIndex:
+    """Build one shard's packed index from the shared point store."""
+    tree = PackedIndex(store.dim)
+    tree.bulk_load(store.ids[positions], store.points[positions])
     return tree
 
 
@@ -104,17 +98,13 @@ def worker_main(
     task_queue,
     result_queue,
     *,
-    max_entries: int = 50,
-    method: str = "str",
     untrack_shm: bool = False,
 ) -> None:
-    """Process entry point: build trees, then drain tasks until ``None``."""
+    """Process entry point: build indexes, then drain tasks until ``None``."""
     store = SharedPointStore.attach(descriptor, untrack=untrack_shm)
     try:
         trees = {
-            shard_id: build_shard_tree(
-                store, positions, max_entries=max_entries, method=method
-            )
+            shard_id: build_shard_tree(store, positions)
             for shard_id, positions in owned_shards
         }
         result_queue.put(("ready", None))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import SpatialDatabase
 from repro.cli import build_parser, main
+from repro.core.storage import is_soa_file
 
 
 class TestParser:
@@ -109,9 +111,16 @@ class TestDatasetAndQuery:
         assert "error" in capsys.readouterr().err
 
     def test_road_dataset_generation(self, tmp_path, capsys):
-        db_path = str(tmp_path / "road.npz")
+        # soa is the default format, matching SpatialDatabase.save.
+        db_path = str(tmp_path / "road.soa")
         assert main(["dataset", "road", db_path, "--size", "3000"]) == 0
-        with np.load(db_path) as archive:
+        assert is_soa_file(db_path)
+        assert SpatialDatabase.load(db_path).points.shape == (3000, 2)
+        npz_path = str(tmp_path / "road.npz")
+        assert main(
+            ["dataset", "road", npz_path, "--size", "3000", "--format", "npz"]
+        ) == 0
+        with np.load(npz_path) as archive:
             assert archive["points"].shape == (3000, 2)
 
 

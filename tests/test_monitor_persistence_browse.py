@@ -57,7 +57,8 @@ class TestMonitoringSession:
     def test_invalidate_after_update(self, paper_sigma_10):
         rng = np.random.default_rng(5)
         points = rng.random((800, 2)) * 100
-        db = SpatialDatabase(points)
+        # The default packed index is static; mutation needs the R*-tree.
+        db = SpatialDatabase(points, index=RStarTree(2))
         session = MonitoringSession(db, integrator=ExactIntegrator(), margin=2.0)
         gaussian = Gaussian([50.0, 50.0], 0.05 * paper_sigma_10)
         before = session.query(gaussian, 10.0, 0.1)

@@ -150,7 +150,6 @@ class TestClassify:
             query,
             answer,
             index=database.index,
-            point_of=database.point,
             anchor_rect=rect,
         )
 

@@ -70,9 +70,7 @@ def test_routed_union_equals_unsharded_candidates(dim, n_shards, method):
     store = SharedPointStore.create(np.arange(len(points)), points)
     try:
         trees = {
-            spec.shard_id: build_shard_tree(
-                store, spec.positions, method=method
-            )
+            spec.shard_id: build_shard_tree(store, spec.positions)
             for spec in specs
         }
         routed_somewhere = 0
